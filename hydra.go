@@ -22,6 +22,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"os"
+	"sync"
 
 	"hydra/internal/dnamaca"
 	"hydra/internal/dtmc"
@@ -41,7 +42,12 @@ type Model struct {
 	fingerprint   string            // content-derived identity (see Fingerprint)
 	measures      []Measure
 	stateMeasures []StateMeasure
-	pi            []float64 // lazily computed embedded-chain steady state
+	// The embedded-chain steady state, computed once on first use. A
+	// served model answers concurrent requests, so the lazy computation
+	// goes through piOnce.
+	piOnce sync.Once
+	pi     []float64
+	piErr  error
 }
 
 // SpecFingerprint derives a model fingerprint from DNAmaca source text.
@@ -209,17 +215,15 @@ func (m *Model) PlaceIndex(name string) int { return m.ss.Net.PlaceIndex(name) }
 func (m *Model) Measures() []Measure { return m.measures }
 
 // steadyState lazily computes and caches the embedded chain's stationary
-// vector.
+// vector; it is safe for concurrent use.
 func (m *Model) steadyState() ([]float64, error) {
-	if m.pi != nil {
-		return m.pi, nil
-	}
-	pi, err := dtmc.SteadyStateGS(m.ss.Model.EmbeddedDTMC(), dtmc.Options{SkipIrreducibilityCheck: true})
-	if err != nil {
-		return nil, fmt.Errorf("hydra: embedded-chain steady state: %w", err)
-	}
-	m.pi = pi
-	return pi, nil
+	m.piOnce.Do(func() {
+		m.pi, m.piErr = dtmc.SteadyStateGS(m.ss.Model.EmbeddedDTMC(), dtmc.Options{SkipIrreducibilityCheck: true})
+		if m.piErr != nil {
+			m.pi, m.piErr = nil, fmt.Errorf("hydra: embedded-chain steady state: %w", m.piErr)
+		}
+	})
+	return m.pi, m.piErr
 }
 
 // SteadyStateProbability returns the long-run probability that the SMP

@@ -4,6 +4,7 @@ import (
 	"math"
 	"net"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"hydra"
@@ -170,6 +171,53 @@ func TestTransientConvergesToSteadyState(t *testing.T) {
 		if math.Abs(v-ssProb) > 0.01*(1+ssProb) {
 			t.Errorf("T(%v) = %v has not converged to steady state %v", tr.Times[i], v, ssProb)
 		}
+	}
+}
+
+// A served model answers concurrent requests, and the first of them to
+// need the embedded-chain steady state computes it lazily: several
+// goroutines asking at once must all get the one vector (run with
+// -race to see the shared cache guarded).
+func TestSteadyStateConcurrentFirstUse(t *testing.T) {
+	m, err := hydra.VotingConfig(4, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2 := m.PlaceIndex("p2")
+	states := m.States(func(mk hydra.Marking) bool { return mk[p2] == 2 })
+	sources := states[:2]
+	const callers = 8
+	probs := make([]float64, callers)
+	weights := make([][]float64, callers)
+	errs := make([]error, callers)
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			if g%2 == 0 {
+				probs[g], errs[g] = m.SteadyStateProbability(states)
+			} else {
+				_, weights[g], errs[g] = m.SourceWeights(sources)
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g, err := range errs {
+		if err != nil {
+			t.Fatalf("caller %d: %v", g, err)
+		}
+	}
+	for g := 2; g < callers; g++ {
+		if g%2 == 0 && probs[g] != probs[0] {
+			t.Errorf("caller %d: steady-state probability %v, caller 0 %v", g, probs[g], probs[0])
+		}
+		if g%2 == 1 && (weights[g][0] != weights[1][0] || weights[g][1] != weights[1][1]) {
+			t.Errorf("caller %d: source weights %v, caller 1 %v", g, weights[g], weights[1])
+		}
+	}
+	if !(probs[0] > 0 && probs[0] < 1) {
+		t.Errorf("steady-state probability %v outside (0, 1)", probs[0])
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 type ParallelProduct struct {
 	ranges []Range
 	bufs   [][]complex128
+	maxes  []float64 // per-range results of the fused column sweeps
 }
 
 // NewParallelProduct sizes the partial buffers for an n-column matrix
@@ -25,30 +26,55 @@ func NewParallelProduct(ranges []Range, n int) *ParallelProduct {
 	for i := range bufs {
 		bufs[i] = make([]complex128, n)
 	}
-	return &ParallelProduct{ranges: ranges, bufs: bufs}
+	return &ParallelProduct{ranges: ranges, bufs: bufs, maxes: make([]float64, len(ranges))}
 }
 
 // Workers returns the number of partitions.
 func (pp *ParallelProduct) Workers() int { return len(pp.ranges) }
 
-// MulVecSkipRows computes y = M′·x (M with skip rows zeroed) in
-// parallel. Output rows are independent in the column form, so each
-// worker writes its own disjoint range of y directly — no partial
-// buffers, no reduction.
-func (pp *ParallelProduct) MulVecSkipRows(m *sparse.CMatrix, x, y []complex128, skip []bool) {
+// FixedPointSweep runs one pinned fixed-point sweep y = e⃗ + M′·x in
+// parallel (see sparse.CMatrix.FixedPointSweepRange) and returns the
+// largest squared increment max_i |y_i − x_i|². Output rows are
+// independent in the column form, so each worker writes its own
+// disjoint range of y directly and the only reduction is the max over
+// the per-range results.
+func (pp *ParallelProduct) FixedPointSweep(m *sparse.CMatrix, x, y []complex128, pin []bool) float64 {
+	return pp.reduceMax(func(r Range) float64 {
+		return m.FixedPointSweepRange(x, y, pin, 0, r.Lo, r.Hi)
+	})
+}
+
+// SeriesSweep runs one accumulator-series sweep y = M′·x, z += y in
+// parallel (see sparse.CMatrix.SeriesSweepRange) and returns the
+// largest squared magnitude max_i |y_i|².
+func (pp *ParallelProduct) SeriesSweep(m *sparse.CMatrix, x, y, z []complex128, skip []bool) float64 {
+	return pp.reduceMax(func(r Range) float64 {
+		return m.SeriesSweepRange(x, y, z, skip, r.Lo, r.Hi)
+	})
+}
+
+// reduceMax runs sweep over every range concurrently and returns the
+// largest of the per-range results.
+func (pp *ParallelProduct) reduceMax(sweep func(Range) float64) float64 {
 	if len(pp.ranges) == 1 {
-		m.MulVecSkipRows(x, y, skip)
-		return
+		return sweep(pp.ranges[0])
 	}
 	var wg sync.WaitGroup
-	for _, r := range pp.ranges {
+	for w, r := range pp.ranges {
 		wg.Add(1)
-		go func(r Range) {
+		go func(w int, r Range) {
 			defer wg.Done()
-			m.MulVecSkipRowsRange(x, y, skip, r.Lo, r.Hi)
-		}(r)
+			pp.maxes[w] = sweep(r)
+		}(w, r)
 	}
 	wg.Wait()
+	var worst float64
+	for _, a := range pp.maxes {
+		if a > worst {
+			worst = a
+		}
+	}
+	return worst
 }
 
 // VecMulSkipRows computes y = x·M′ (M with skip rows zeroed) in

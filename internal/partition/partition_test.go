@@ -262,3 +262,59 @@ func TestParallelProductMatchesSerial(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// The fused column sweeps write disjoint row ranges and reduce only a
+// max, so the parallel forms must match the serial kernels bit for bit:
+// the same y, the same z and the same squared norm.
+func TestParallelFusedSweepsMatchSerial(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		n := 5 + r.Intn(60)
+		b := sparse.NewCBuilder(n, n)
+		for k := 0; k < 6*n; k++ {
+			b.Add(r.Intn(n), r.Intn(n), complex(r.NormFloat64(), r.NormFloat64()))
+		}
+		m := b.Build()
+		vec := func() []complex128 {
+			v := make([]complex128, n)
+			for i := range v {
+				v[i] = complex(r.NormFloat64(), r.NormFloat64())
+			}
+			return v
+		}
+		x, z := vec(), vec()
+		skip := make([]bool, n)
+		for i := range skip {
+			skip[i] = r.Intn(5) == 0
+		}
+		weights := make([]int, n)
+		for i := range weights {
+			weights[i] = m.RowNNZ(i) + 1
+		}
+		pp := NewParallelProduct(BalancedRows(weights, 1+r.Intn(4)), n)
+
+		want, got := make([]complex128, n), make([]complex128, n)
+		if m.FixedPointSweepRange(x, want, skip, 0, 0, n) != pp.FixedPointSweep(m, x, got, skip) {
+			return false
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				return false
+			}
+		}
+
+		wantZ := append([]complex128(nil), z...)
+		if m.SeriesSweepRange(x, want, wantZ, skip, 0, n) != pp.SeriesSweep(m, x, got, z, skip) {
+			return false
+		}
+		for i := range got {
+			if got[i] != want[i] || z[i] != wantZ[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
+	}
+}

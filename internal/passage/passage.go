@@ -346,7 +346,7 @@ func (sv *Solver) IterativeLST(s complex128, src SourceWeights, targets []int) (
 func l1Norm(v []complex128) float64 {
 	var sum float64
 	for _, c := range v {
-		sum += math.Hypot(real(c), imag(c))
+		sum += math.Sqrt(real(c)*real(c) + imag(c)*imag(c))
 	}
 	return sum
 }
@@ -415,7 +415,7 @@ func (sv *Solver) directVectorSolve(s complex128) ([]complex128, error) {
 	x := p.dirX
 	for iter := 0; iter < sv.opts.GSMaxIter; iter++ {
 		sv.lastSweeps = iter + 1
-		var worst float64
+		var worst float64 // squared: one Sqrt per sweep, not a Hypot per entry
 		for i := 0; i < n; i++ {
 			sum := b[i]
 			cols, vals := sv.u.RowSlices(i)
@@ -426,12 +426,13 @@ func (sv *Solver) directVectorSolve(s complex128) ([]complex128, error) {
 			}
 			den := 1 - diag[i]
 			next := sum / den
-			if d := next - x[i]; math.Hypot(real(d), imag(d)) > worst {
-				worst = math.Hypot(real(d), imag(d))
+			d := next - x[i]
+			if a := real(d)*real(d) + imag(d)*imag(d); a > worst {
+				worst = a
 			}
 			x[i] = next
 		}
-		if worst < eps {
+		if math.Sqrt(worst) < eps {
 			sv.noteWarm(warm, &p.dirCold)
 			p.dirWarm = sv.opts.WarmStart
 			out := make([]complex128, n)

@@ -104,8 +104,11 @@ type ShardSolver struct {
 	halo  []int  // sorted global columns outside the block its rows read
 	bound []int  // rows whose values the conductor collects
 	bIdx  []int  // block-local boundary row indices (bound - lo)
-	iIdx  []int  // block-local interior row indices (the complement)
 	skip  []bool // block-local target flags
+	// bRuns and iRuns cover the block-local boundary rows and their
+	// complement, the interior, as maximal runs of consecutive rows: the
+	// ranges an overlapped sweep hands the fused kernels.
+	bRuns, iRuns []partition.Range
 
 	lsts    []complex128
 	filledS complex128
@@ -261,10 +264,16 @@ func (sv *ShardSolver) SetBoundary(rows []int) error {
 		sv.bIdx = append(sv.bIdx, r-sv.lo)
 		isB[r-sv.lo] = true
 	}
-	sv.iIdx = sv.iIdx[:0]
+	sv.bRuns, sv.iRuns = sv.bRuns[:0], sv.iRuns[:0]
 	for i := range isB {
-		if !isB[i] {
-			sv.iIdx = append(sv.iIdx, i)
+		runs := &sv.iRuns
+		if isB[i] {
+			runs = &sv.bRuns
+		}
+		if k := len(*runs); k > 0 && (*runs)[k-1].Hi == i {
+			(*runs)[k-1].Hi++
+		} else {
+			*runs = append(*runs, partition.Range{Lo: i, Hi: i + 1})
 		}
 	}
 	return nil
@@ -369,36 +378,6 @@ func (sv *ShardSolver) BeginPointFP(s complex128, warm bool) ([]complex128, erro
 	return sv.boundaryVals(), nil
 }
 
-// rowFixedPoint computes one row of the pinned fixed-point update
-// y = U′·x with target rows pinned to 1. The entry loop matches
-// MulVecSkipRows order for order, so row-by-row computation is bitwise
-// identical to the block product.
-func (sv *ShardSolver) rowFixedPoint(i int) complex128 {
-	if sv.skip[i] {
-		return 1
-	}
-	cols, vals := sv.blk.RowSlices(i)
-	var sum complex128
-	for e, c := range cols {
-		sum += vals[e] * sv.x[c]
-	}
-	return sum
-}
-
-// rowSeries is rowFixedPoint for the cold accumulator series: target
-// rows are zero (U′), everything else the plain row product.
-func (sv *ShardSolver) rowSeries(i int) complex128 {
-	if sv.skip[i] {
-		return 0
-	}
-	cols, vals := sv.blk.RowSlices(i)
-	var sum complex128
-	for e, c := range cols {
-		sum += vals[e] * sv.x[c]
-	}
-	return sum
-}
-
 func (sv *ShardSolver) boundaryFromY() []complex128 {
 	out := make([]complex128, len(sv.bIdx))
 	for k, i := range sv.bIdx {
@@ -407,58 +386,49 @@ func (sv *ShardSolver) boundaryFromY() []complex128 {
 	return out
 }
 
+// sweepRuns runs sweep over the block once — over boundary rows first,
+// shipping them via early, then interior rows, when early is non-nil —
+// and returns the largest of the per-run results. Each row goes through
+// the same fused kernel either way, so the split is bitwise invisible.
+func (sv *ShardSolver) sweepRuns(early func([]complex128), sweep func(lo, hi int) float64) float64 {
+	if early == nil {
+		return sweep(0, sv.hi-sv.lo)
+	}
+	var worst float64
+	for _, r := range sv.bRuns {
+		if a := sweep(r.Lo, r.Hi); a > worst {
+			worst = a
+		}
+	}
+	early(sv.boundaryFromY())
+	for _, r := range sv.iRuns {
+		if a := sweep(r.Lo, r.Hi); a > worst {
+			worst = a
+		}
+	}
+	return worst
+}
+
 // sweepOnceFixedPoint runs one pinned fixed-point sweep over the block,
 // optionally shipping boundary rows via early before interior rows are
 // computed, and returns the increment max-norm.
 func (sv *ShardSolver) sweepOnceFixedPoint(early func([]complex128)) float64 {
-	own := sv.x[sv.lo:sv.hi]
-	if early != nil {
-		for _, i := range sv.bIdx {
-			sv.yOwn[i] = sv.rowFixedPoint(i)
-		}
-		early(sv.boundaryFromY())
-		for _, i := range sv.iIdx {
-			sv.yOwn[i] = sv.rowFixedPoint(i)
-		}
-	} else {
-		sv.blk.MulVecSkipRows(sv.x, sv.yOwn, sv.skip)
-		for i, isT := range sv.skip {
-			if isT {
-				sv.yOwn[i] = 1
-			}
-		}
-	}
-	var m float64
-	for i := range sv.yOwn {
-		d := sv.yOwn[i] - own[i]
-		if a := math.Hypot(real(d), imag(d)); a > m {
-			m = a
-		}
-	}
-	copy(own, sv.yOwn)
-	return m
+	worst := sv.sweepRuns(early, func(lo, hi int) float64 {
+		return sv.blk.FixedPointSweepRange(sv.x, sv.yOwn, sv.skip, sv.lo, lo, hi)
+	})
+	copy(sv.x[sv.lo:sv.hi], sv.yOwn)
+	return math.Sqrt(worst)
 }
 
 // sweepOnceSeries runs one cold accumulator sweep (the caller has
-// already folded the received halo into zHalo).
+// already folded the received halo into zHalo), folding it into zOwn,
+// and returns the increment max-norm.
 func (sv *ShardSolver) sweepOnceSeries(early func([]complex128)) float64 {
-	if early != nil {
-		for _, i := range sv.bIdx {
-			sv.yOwn[i] = sv.rowSeries(i)
-		}
-		early(sv.boundaryFromY())
-		for _, i := range sv.iIdx {
-			sv.yOwn[i] = sv.rowSeries(i)
-		}
-	} else {
-		sv.blk.MulVecSkipRows(sv.x, sv.yOwn, sv.skip)
-	}
-	m := maxNorm(sv.yOwn)
-	for i := range sv.yOwn {
-		sv.zOwn[i] += sv.yOwn[i]
-	}
+	worst := sv.sweepRuns(early, func(lo, hi int) float64 {
+		return sv.blk.SeriesSweepRange(sv.x, sv.yOwn, sv.zOwn, sv.skip, lo, hi)
+	})
 	copy(sv.x[sv.lo:sv.hi], sv.yOwn)
-	return m
+	return math.Sqrt(worst)
 }
 
 // Sweep implements ShardMember.

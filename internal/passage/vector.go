@@ -11,14 +11,25 @@ import (
 // products. The scalar entry points (IterativeLST, TransientLST) remain
 // as thin weighted reads.
 
-// mulSkipCol dispatches the column-form accumulator product y = U′·x
-// (target rows zeroed) to the serial or partition-parallel kernel.
-func (sv *Solver) mulSkipCol(x, y []complex128) {
+// fixedPointSweep runs one pinned Eq. (10) fixed-point sweep
+// y = e⃗ + U′·x on the serial or partition-parallel kernel and returns
+// the increment max-norm max_i |y_i − x_i|.
+func (sv *Solver) fixedPointSweep(x, y []complex128) float64 {
 	if sv.par != nil {
-		sv.par.MulVecSkipRows(sv.u, x, y, sv.targets)
-		return
+		return math.Sqrt(sv.par.FixedPointSweep(sv.u, x, y, sv.targets))
 	}
-	sv.u.MulVecSkipRows(x, y, sv.targets)
+	return math.Sqrt(sv.u.FixedPointSweepRange(x, y, sv.targets, 0, 0, len(y)))
+}
+
+// seriesSweep runs one term of the cold Eq. (10) series, y = U′·x
+// (target rows zeroed) folded into the accumulator z += y, on the
+// serial or partition-parallel kernel and returns the increment
+// max-norm max_i |y_i|.
+func (sv *Solver) seriesSweep(x, y, z []complex128) float64 {
+	if sv.par != nil {
+		return math.Sqrt(sv.par.SeriesSweep(sv.u, x, y, z, sv.targets))
+	}
+	return math.Sqrt(sv.u.SeriesSweepRange(x, y, z, sv.targets, 0, len(y)))
 }
 
 // IterativeVectorLST computes the full source-indexed passage vector
@@ -69,27 +80,26 @@ func (sv *Solver) IterativeVectorLST(s complex128, targets []int) ([]complex128,
 	// ‖c_r‖∞ since every |U| row sum is below 1 for Re(s) > 0 — so the
 	// max norm plays the role the ℓ1 norm plays in the row iteration.
 	gauge := newConvGauge(sv.opts)
+	var m float64
 	for r := 1; r <= sv.opts.MaxR; r++ {
-		sv.mulSkipCol(sv.acc, sv.next)
+		m = sv.seriesSweep(sv.acc, sv.next, z)
 		sv.acc, sv.next = sv.next, sv.acc
-		for i := range z {
-			z[i] += sv.acc[i]
-		}
-		if gauge.converged(maxNorm(sv.acc)) {
+		if gauge.converged(m) {
 			return finish(r)
 		}
 	}
 	return nil, sv.opts.MaxR, fmt.Errorf("%w: %d transitions at s=%v (remaining mass %g)",
-		ErrNoConvergence, sv.opts.MaxR, s, maxNorm(sv.acc))
+		ErrNoConvergence, sv.opts.MaxR, s, m)
 }
 
 // warmRefine continues the Eq. (10) fixed point z = e⃗ + U′·z from the
 // neighbouring s-point's converged accumulator — or, once two
 // neighbours exist, from their linear extrapolation, whose O(h²) seed
 // error buys several extra contraction decades of head start. Each
-// sweep costs exactly one mulSkipCol — the same kernel traversal as one
-// series term — so on a smooth contour the refinement replaces a full
-// depth-r series with a fraction of the sweeps. The same geometric tail
+// sweep is one pass of fixedPointSweep — the same kernel traversal as
+// one series term, with the target pin and the increment norm folded
+// in — so on a smooth contour the refinement replaces a full depth-r
+// series with a fraction of the sweeps. The same geometric tail
 // bound as the cold loop certifies the result: ρ(U′) < 1 for
 // Re(s) > 0, so ‖z* − z_r‖∞ ≤ m·ρ/(1−ρ) with m the last increment.
 func (sv *Solver) warmRefine(s complex128) ([]complex128, int, error) {
@@ -112,19 +122,7 @@ func (sv *Solver) warmRefine(s complex128) ([]complex128, int, error) {
 	gauge := newConvGauge(sv.opts)
 	for r := 1; r <= sv.opts.MaxR; r++ {
 		sv.lastSweeps = r
-		sv.mulSkipCol(x, y) // y = U′·x; target rows come back zeroed
-		for i, isT := range sv.targets {
-			if isT {
-				y[i] = 1
-			}
-		}
-		var m float64
-		for i := range y {
-			d := y[i] - x[i]
-			if a := math.Hypot(real(d), imag(d)); a > m {
-				m = a
-			}
-		}
+		m := sv.fixedPointSweep(x, y)
 		x, y = y, x
 		if gauge.converged(m) {
 			sv.acc, sv.next = x, y
@@ -159,17 +157,6 @@ func (sv *Solver) warmRefine(s complex128) ([]complex128, int, error) {
 	sv.lastWarm, sv.lastSaved = false, 0
 	return nil, sv.opts.MaxR, fmt.Errorf("%w: warm refinement after %d sweeps at s=%v",
 		ErrNoConvergence, sv.opts.MaxR, s)
-}
-
-// maxNorm returns max_i |v_i|.
-func maxNorm(v []complex128) float64 {
-	var m float64
-	for _, c := range v {
-		if a := math.Hypot(real(c), imag(c)); a > m {
-			m = a
-		}
-	}
-	return m
 }
 
 // DirectVectorLSTColumns solves the K = len(targets) independent
@@ -241,7 +228,7 @@ func (sv *Solver) DirectVectorLSTColumns(s complex128, targets []int) ([][]compl
 	sum := sv.blkS
 	for iter := 0; iter < sv.opts.GSMaxIter; iter++ {
 		sv.lastSweeps = iter + 1
-		var worst float64
+		var worst float64 // squared: one Sqrt per sweep, not a Hypot per entry
 		for i := 0; i < n; i++ {
 			copy(sum, b[i*K:(i+1)*K])
 			cols, vals := sv.u.RowSlices(i)
@@ -267,13 +254,14 @@ func (sv *Solver) DirectVectorLSTColumns(s complex128, targets []int) ([][]compl
 					den = 1
 				}
 				next := sum[k] / den
-				if d := next - xi[k]; math.Hypot(real(d), imag(d)) > worst {
-					worst = math.Hypot(real(d), imag(d))
+				d := next - xi[k]
+				if a := real(d)*real(d) + imag(d)*imag(d); a > worst {
+					worst = a
 				}
 				xi[k] = next
 			}
 		}
-		if worst < sv.opts.GSEpsilon {
+		if math.Sqrt(worst) < sv.opts.GSEpsilon {
 			sv.noteWarm(warm, &p.blockCold)
 			p.blockWarm = sv.opts.WarmStart
 			cols := make([][]complex128, K)

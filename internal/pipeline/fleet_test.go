@@ -339,19 +339,26 @@ func TestFleetWorkerDetectsV1Master(t *testing.T) {
 	}
 	addr := ln.Addr().String()
 
+	served := make(chan error, 1)
+	go func() {
+		_, _, err := Serve(ln, job, nil, MasterOptions{ModelStates: m.N()})
+		served <- err
+	}()
 	v2done := make(chan error, 1)
 	go func() {
 		v2done <- FleetWork(addr, []WorkerModel{healthyWorkerModel(m, "fp")}, WorkerOptions{Name: "modern"})
 	}()
-	// A v1 worker completes the job so Serve returns.
+	// No worker can finish the job yet, so the master is still listening
+	// when the v2 worker dials; the v1 worker that completes the job (and
+	// lets Serve close its listener) starts only after the rejection.
+	err = <-v2done
 	v1done := make(chan error, 1)
 	go func() {
 		v1done <- Work(addr, NewSolverEvaluator(m, passage.Options{}), m.N(), WorkerOptions{Name: "good"})
 	}()
-	if _, _, err := Serve(ln, job, nil, MasterOptions{ModelStates: m.N()}); err != nil {
+	if err := <-served; err != nil {
 		t.Fatal(err)
 	}
-	err = <-v2done
 	if err == nil {
 		t.Fatal("v2 worker did not detect the v1 master")
 	}

@@ -266,16 +266,51 @@ func TestDispatcherRequeue(t *testing.T) {
 	<-done
 }
 
+// gatedListener holds back its first Accept until want connections are
+// pending, then hands them out before accepting any more. Serve calls
+// Accept from a single goroutine.
+type gatedListener struct {
+	net.Listener
+	want    int
+	once    sync.Once
+	pending []net.Conn
+	err     error
+}
+
+func (l *gatedListener) Accept() (net.Conn, error) {
+	l.once.Do(func() {
+		for len(l.pending) < l.want && l.err == nil {
+			var c net.Conn
+			if c, l.err = l.Listener.Accept(); l.err == nil {
+				l.pending = append(l.pending, c)
+			}
+		}
+	})
+	if len(l.pending) > 0 {
+		c := l.pending[0]
+		l.pending = l.pending[1:]
+		return c, nil
+	}
+	if l.err != nil {
+		return nil, l.err
+	}
+	return l.Listener.Accept()
+}
+
 func TestTCPMasterWorkerEndToEnd(t *testing.T) {
 	m := testModel(t)
 	ts := []float64{0.3, 0.8, 1.6}
 	job := densityJob(m, ts)
 
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := ln.Addr().String()
+	addr := inner.Addr().String()
+	// Serve closes its listener once the job is done, so a worker that
+	// dialed late would be refused: hand Serve the connections only once
+	// all three workers are in.
+	ln := &gatedListener{Listener: inner, want: 3}
 
 	var wg sync.WaitGroup
 	workerErrs := make([]error, 3)

@@ -123,6 +123,77 @@ func (m *CMatrix) MulVecSkipRowsRange(x, y []complex128, skip []bool, lo, hi int
 	}
 }
 
+// rowProduct returns the product of row i with x, accumulated in entry
+// order exactly as MulVecSkipRowsRange does; slicing the row first lets
+// the compiler drop the per-entry bounds checks on the value and index
+// arrays.
+func (m *CMatrix) rowProduct(i int, x []complex128) complex128 {
+	lo, hi := m.rowPtr[i], m.rowPtr[i+1]
+	cols := m.colIdx[lo:hi]
+	vals := m.val[lo:hi][:len(cols)]
+	var sum complex128
+	for e, c := range cols {
+		sum += vals[e] * x[c]
+	}
+	return sum
+}
+
+// FixedPointSweepRange runs rows [lo, hi) of one pinned fixed-point
+// sweep y = e⃗ + M′·x in a single pass: pinned rows are set to 1, every
+// other row gets the ordinary row product (the same entry order and
+// arithmetic as MulVecSkipRowsRange, so y is bitwise that product), and
+// the largest squared increment |y_i − x_{off+i}|² over the range is
+// returned. off is the global index of the matrix's first row: 0 for a
+// full matrix, the block's first row for a row block (NewRowBlock) whose
+// y is block-local while x spans the full column space.
+func (m *CMatrix) FixedPointSweepRange(x, y []complex128, pin []bool, off, lo, hi int) float64 {
+	if len(x) != m.cols || len(y) != m.rows || len(pin) != m.rows || off < 0 || off+m.rows > len(x) {
+		panic("sparse: CMatrix.FixedPointSweepRange dimension mismatch")
+	}
+	if lo < 0 || hi > m.rows || lo > hi {
+		panic(fmt.Sprintf("sparse: row range [%d,%d) outside %d rows", lo, hi, m.rows))
+	}
+	var worst float64
+	for i := lo; i < hi; i++ {
+		sum := complex128(1)
+		if !pin[i] {
+			sum = m.rowProduct(i, x)
+		}
+		y[i] = sum
+		d := sum - x[off+i]
+		if a := real(d)*real(d) + imag(d)*imag(d); a > worst {
+			worst = a
+		}
+	}
+	return worst
+}
+
+// SeriesSweepRange runs rows [lo, hi) of one accumulator-series sweep in
+// a single pass: y = M′·x with skip rows zeroed (bitwise the
+// MulVecSkipRowsRange product), z += y, and the largest squared
+// magnitude |y_i|² over the range is returned. z is indexed like y.
+func (m *CMatrix) SeriesSweepRange(x, y, z []complex128, skip []bool, lo, hi int) float64 {
+	if len(x) != m.cols || len(y) != m.rows || len(z) != m.rows || len(skip) != m.rows {
+		panic("sparse: CMatrix.SeriesSweepRange dimension mismatch")
+	}
+	if lo < 0 || hi > m.rows || lo > hi {
+		panic(fmt.Sprintf("sparse: row range [%d,%d) outside %d rows", lo, hi, m.rows))
+	}
+	var worst float64
+	for i := lo; i < hi; i++ {
+		var sum complex128
+		if !skip[i] {
+			sum = m.rowProduct(i, x)
+		}
+		y[i] = sum
+		z[i] += sum
+		if a := real(sum)*real(sum) + imag(sum)*imag(sum); a > worst {
+			worst = a
+		}
+	}
+	return worst
+}
+
 // RowSlices returns the column-index and value slices of row i, sharing
 // the matrix's backing arrays. It exists for tight multi-RHS loops (the
 // block Gauss–Seidel sweep) that would otherwise pay a closure call per
